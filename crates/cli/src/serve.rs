@@ -82,7 +82,8 @@
 //! shard (422 when the index is out of range). Shard children are
 //! supervised over pipes: each announces `LISTENING <addr>` on stdout
 //! and exits when its stdin reaches EOF, so no shard can outlive its
-//! parent.
+//! parent. Forwards travel over pooled keep-alive connections
+//! (`HopClient`), so the hop costs no TCP connect per request.
 //!
 //! Every JSON response uses the envelope documented in [`gables_serve`]:
 //! `{"ok": true, "data": ..., "error": null}` on success and
@@ -1250,7 +1251,9 @@ fn run_replicated(opts: &ServeOptions) -> Result<String, SpecError> {
     for _ in 0..opts.replicas {
         shards.push(Shard::spawn(opts.workers, &opts.slos)?);
     }
-    let addrs: Arc<Vec<String>> = Arc::new(shards.iter().map(|s| s.addr.clone()).collect());
+    let hop = Arc::new(HopClient::new(
+        shards.iter().map(|s| s.addr.clone()).collect(),
+    ));
     let ring = Arc::new(HashRing::new(opts.replicas));
 
     let config = ServerConfig {
@@ -1269,7 +1272,7 @@ fn run_replicated(opts: &ServeOptions) -> Result<String, SpecError> {
         opts.workers,
     )
     .with_slos(opts.slos.clone());
-    let router = build_parent_router(&state, addrs, ring);
+    let router = build_parent_router(&state, hop, ring);
     obs::log(
         obs::Level::Info,
         "serve",
@@ -1313,44 +1316,44 @@ fn run_replicated(opts: &ServeOptions) -> Result<String, SpecError> {
 /// `/v1/healthz`, and `/v1/slo` aggregate across shards, the debug
 /// routes answer fleet-wide (or pinned with `?shard=`), and the
 /// discovery document and alias tombstones answer locally.
-fn build_parent_router(state: &ServeState, addrs: Arc<Vec<String>>, ring: Arc<HashRing>) -> Router {
-    let healthz_addrs = Arc::clone(&addrs);
-    let metrics_addrs = Arc::clone(&addrs);
-    let slo_addrs = Arc::clone(&addrs);
-    let requests_addrs = Arc::clone(&addrs);
-    let profile_addrs = Arc::clone(&addrs);
+fn build_parent_router(state: &ServeState, hop: Arc<HopClient>, ring: Arc<HashRing>) -> Router {
+    let healthz_hop = Arc::clone(&hop);
+    let metrics_hop = Arc::clone(&hop);
+    let slo_hop = Arc::clone(&hop);
+    let requests_hop = Arc::clone(&hop);
+    let profile_hop = Arc::clone(&hop);
     let metrics_state = state.clone();
     let slo_state = state.clone();
     let healthz_state = state.clone();
-    let batch_addrs = Arc::clone(&addrs);
+    let batch_hop = Arc::clone(&hop);
     let batch_ring = Arc::clone(&ring);
     let mut router = Router::new()
         .route("GET", "/v1", |_| discovery_response())
         .route("GET", "/v1/healthz", move |req| {
-            aggregated_healthz(req, &healthz_addrs, &healthz_state)
+            aggregated_healthz(req, &healthz_hop, &healthz_state)
         })
         .route("GET", "/v1/metrics", move |req| {
-            aggregated_metrics(req, &metrics_addrs, &metrics_state)
+            aggregated_metrics(req, &metrics_hop, &metrics_state)
         })
         .route("GET", "/v1/slo", move |req| {
-            aggregated_slo(req, &slo_addrs, &slo_state)
+            aggregated_slo(req, &slo_hop, &slo_state)
         })
         .route("GET", "/v1/debug/requests", move |req| {
-            fleet_debug_requests(req, &requests_addrs)
+            fleet_debug_requests(req, &requests_hop)
         })
         .route("GET", "/v1/debug/profile", move |req| {
-            fleet_debug_profile(req, &profile_addrs)
+            fleet_debug_profile(req, &profile_hop)
         })
         .route("POST", "/v1/batch", move |req| {
-            parent_batch_response(req, &batch_addrs, &batch_ring)
+            parent_batch_response(req, &batch_hop, &batch_ring)
         });
     for name in ["eval", "sweep", "whatif", "simulate", "carm"] {
         let path = format!("/v1/{name}");
-        let addrs = Arc::clone(&addrs);
+        let hop = Arc::clone(&hop);
         let ring = Arc::clone(&ring);
         let forward_path = path.clone();
         router = router.route("POST", &path, move |req| {
-            route_to_shard(req, &forward_path, &addrs, &ring)
+            route_to_shard(req, &forward_path, &hop, &ring)
         });
     }
     for (method, alias, v1) in SUNSET_ALIASES {
@@ -1362,12 +1365,7 @@ fn build_parent_router(state: &ServeState, addrs: Arc<Vec<String>>, ring: Arc<Ha
 /// Forwards one spec-carrying `POST` to the shard that owns the spec's
 /// canonical key. Bodies that don't parse are answered locally — the
 /// same code path a shard would take, so the bytes are identical.
-fn route_to_shard(
-    req: &Request,
-    path: &str,
-    addrs: &Arc<Vec<String>>,
-    ring: &Arc<HashRing>,
-) -> Response {
+fn route_to_shard(req: &Request, path: &str, hop: &HopClient, ring: &HashRing) -> Response {
     let _route_span = obs::span("shard.route");
     let body = match req.body_str() {
         Ok(b) => b,
@@ -1384,7 +1382,7 @@ fn route_to_shard(
         Err(e) => return bad_request(&e),
     };
     let shard = ring.shard_for(spec.canonical_key());
-    forward(&addrs[shard], req, path)
+    hop.forward(shard, req, path)
         .unwrap_or_else(|e| Response::error(503, &format!("shard {shard} unavailable: {e}")))
 }
 
@@ -1392,11 +1390,7 @@ fn route_to_shard(
 /// its canonical key (so every item hits the same shard cache a single
 /// request would), gather in order, splice. Item bytes therefore match
 /// `--replicas 1` and plain single-request serving exactly.
-fn parent_batch_response(
-    req: &Request,
-    addrs: &Arc<Vec<String>>,
-    ring: &Arc<HashRing>,
-) -> Response {
+fn parent_batch_response(req: &Request, hop: &HopClient, ring: &HashRing) -> Response {
     let specs = match batch_specs(req) {
         Ok(specs) => specs,
         Err(resp) => return *resp,
@@ -1412,7 +1406,7 @@ fn parent_batch_response(
                 headers: Vec::new(),
                 body: spec_text.as_bytes().to_vec(),
             };
-            let resp = route_to_shard(&item_req, "/v1/eval", addrs, ring);
+            let resp = route_to_shard(&item_req, "/v1/eval", hop, ring);
             String::from_utf8(resp.body).unwrap_or_default()
         })
         .collect();
@@ -1422,10 +1416,10 @@ fn parent_batch_response(
 /// Parent-side `GET /v1/metrics`: fetch every shard's JSON snapshot,
 /// merge counter-wise, render in the requested format. The uptime and
 /// version stamped into the Prometheus view are the parent's own.
-fn aggregated_metrics(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeState) -> Response {
+fn aggregated_metrics(req: &Request, hop: &HopClient, state: &ServeState) -> Response {
     use gables_serve::MetricsSnapshot;
     let mut aggregate: Option<MetricsSnapshot> = None;
-    for (i, addr) in addrs.iter().enumerate() {
+    for i in 0..hop.len() {
         let shard_req = Request {
             method: "GET".into(),
             path: "/v1/metrics".into(),
@@ -1433,7 +1427,8 @@ fn aggregated_metrics(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let snapshot = forward(addr, &shard_req, "/v1/metrics")
+        let snapshot = hop
+            .forward(i, &shard_req, "/v1/metrics")
             .ok()
             .filter(|resp| resp.status == 200)
             .and_then(|resp| {
@@ -1468,10 +1463,9 @@ fn aggregated_metrics(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
 /// Parent-side `GET /v1/healthz`: healthy only if every shard is. The
 /// default body stays the byte-exact `ok\n` probes expect;
 /// `?format=json` details per-shard status.
-fn aggregated_healthz(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeState) -> Response {
-    let statuses: Vec<(String, bool)> = addrs
-        .iter()
-        .map(|addr| {
+fn aggregated_healthz(req: &Request, hop: &HopClient, state: &ServeState) -> Response {
+    let statuses: Vec<(&str, bool)> = (0..hop.len())
+        .map(|i| {
             let shard_req = Request {
                 method: "GET".into(),
                 path: "/v1/healthz".into(),
@@ -1479,10 +1473,11 @@ fn aggregated_healthz(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
                 headers: Vec::new(),
                 body: Vec::new(),
             };
-            let healthy = forward(addr, &shard_req, "/v1/healthz")
+            let healthy = hop
+                .forward(i, &shard_req, "/v1/healthz")
                 .map(|resp| resp.status == 200)
                 .unwrap_or(false);
-            (addr.clone(), healthy)
+            (hop.addr(i), healthy)
         })
         .collect();
     let all_healthy = statuses.iter().all(|(_, healthy)| *healthy);
@@ -1500,7 +1495,7 @@ fn aggregated_healthz(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
         ),
         ("version".into(), Json::str(VERSION)),
         ("uptime_seconds".into(), Json::num(state.uptime_seconds())),
-        ("replicas".into(), Json::num(addrs.len() as f64)),
+        ("replicas".into(), Json::num(hop.len() as f64)),
         (
             "shards".into(),
             Json::Array(
@@ -1508,7 +1503,7 @@ fn aggregated_healthz(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
                     .iter()
                     .map(|(addr, healthy)| {
                         Json::Object(vec![
-                            ("addr".into(), Json::str(addr.clone())),
+                            ("addr".into(), Json::str(*addr)),
                             (
                                 "status".into(),
                                 Json::str(if *healthy { "ok" } else { "unreachable" }),
@@ -1533,9 +1528,9 @@ fn aggregated_healthz(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeStat
 /// quantile sketches (exact bucket-wise addition — the fleet sketch is
 /// bit-identical to one sketch fed the union stream), and evaluate the
 /// parent's SLO definitions against the merged windows.
-fn aggregated_slo(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeState) -> Response {
+fn aggregated_slo(req: &Request, hop: &HopClient, state: &ServeState) -> Response {
     let mut aggregate: Option<SloSnapshot> = None;
-    for (i, addr) in addrs.iter().enumerate() {
+    for i in 0..hop.len() {
         let shard_req = Request {
             method: "GET".into(),
             path: "/v1/slo".into(),
@@ -1543,7 +1538,8 @@ fn aggregated_slo(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeState) -
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let snapshot = forward(addr, &shard_req, "/v1/slo")
+        let snapshot = hop
+            .forward(i, &shard_req, "/v1/slo")
             .ok()
             .filter(|resp| resp.status == 200)
             .and_then(|resp| {
@@ -1566,7 +1562,7 @@ fn aggregated_slo(req: &Request, addrs: &Arc<Vec<String>>, state: &ServeState) -
     let Some(snapshot) = aggregate else {
         return Response::error(503, "no shards configured");
     };
-    slo_render(req, &snapshot, &state.slos, addrs.len())
+    slo_render(req, &snapshot, &state.slos, hop.len())
 }
 
 /// Parses `?shard=` against the shard count: `Ok(None)` when absent,
@@ -1591,18 +1587,19 @@ fn shard_index_param(req: &Request, shards: usize) -> Result<Option<usize>, Box<
 /// wall-clock completion (`ts_unix_us`, newest first), each record
 /// tagged with its shard index. `?id=` scans the shards and relays the
 /// first one retaining the record.
-fn fleet_debug_requests(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
-    let shard = match shard_index_param(req, addrs.len()) {
+fn fleet_debug_requests(req: &Request, hop: &HopClient) -> Response {
+    let shard = match shard_index_param(req, hop.len()) {
         Ok(shard) => shard,
         Err(resp) => return *resp,
     };
     if let Some(i) = shard {
-        return forward(&addrs[i], req, "/v1/debug/requests")
+        return hop
+            .forward(i, req, "/v1/debug/requests")
             .unwrap_or_else(|e| Response::error(503, &format!("shard {i} unavailable: {e}")));
     }
     if let Some(id) = req.query_param("id") {
-        for addr in addrs.iter() {
-            if let Ok(resp) = forward(addr, req, "/v1/debug/requests") {
+        for i in 0..hop.len() {
+            if let Ok(resp) = hop.forward(i, req, "/v1/debug/requests") {
                 if resp.status == 200 {
                     return resp;
                 }
@@ -1624,7 +1621,7 @@ fn fleet_debug_requests(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
     let mut capacity = 0u64;
     let mut recorded_total = 0u64;
     let mut merged: Vec<Json> = Vec::new();
-    for (i, addr) in addrs.iter().enumerate() {
+    for i in 0..hop.len() {
         let shard_req = Request {
             method: "GET".into(),
             path: "/v1/debug/requests".into(),
@@ -1632,7 +1629,8 @@ fn fleet_debug_requests(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let data = forward(addr, &shard_req, "/v1/debug/requests")
+        let data = hop
+            .forward(i, &shard_req, "/v1/debug/requests")
             .ok()
             .filter(|resp| resp.status == 200)
             .and_then(|resp| {
@@ -1665,7 +1663,7 @@ fn fleet_debug_requests(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
     let doc = Json::Object(vec![
         ("capacity".into(), Json::num(capacity as f64)),
         ("recorded_total".into(), Json::num(recorded_total as f64)),
-        ("shards".into(), Json::num(addrs.len() as f64)),
+        ("shards".into(), Json::num(hop.len() as f64)),
         ("count".into(), Json::num(merged.len() as f64)),
         ("requests".into(), Json::Array(merged)),
     ]);
@@ -1675,67 +1673,217 @@ fn fleet_debug_requests(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
 /// Parent-side `GET /v1/debug/profile`: `?shard=i` forwards the request
 /// to that shard's profiler (422 when the index is out of range);
 /// without it the parent profiles its own routing process, as before.
-fn fleet_debug_profile(req: &Request, addrs: &Arc<Vec<String>>) -> Response {
-    match shard_index_param(req, addrs.len()) {
+fn fleet_debug_profile(req: &Request, hop: &HopClient) -> Response {
+    match shard_index_param(req, hop.len()) {
         Err(resp) => *resp,
-        Ok(Some(i)) => forward(&addrs[i], req, "/v1/debug/profile")
+        Ok(Some(i)) => hop
+            .forward(i, req, "/v1/debug/profile")
             .unwrap_or_else(|e| Response::error(503, &format!("shard {i} unavailable: {e}"))),
         Ok(None) => debug_profile_response(req),
     }
 }
 
-/// Response headers never relayed from a shard: connection framing is
-/// the parent's business, and the parent stamps its own request ID.
-const HOP_HEADERS: &[&str] = &[
-    "connection",
-    "content-length",
-    "content-type",
-    "x-request-id",
-];
+/// Upper bound on one hop connect. A shard with a full accept backlog
+/// fails the forward within this, instead of holding a parent worker
+/// for the kernel's SYN-retry period.
+const HOP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
 
-/// Forwards a request to one shard over a fresh connection (clean
-/// `Connection: close` framing; shard keep-alive serves external
-/// clients, not this internal hop) and parses the response. The
-/// client's `X-Request-Id` is propagated so parent and shard flight
-/// records correlate. Also the transport behind `gables top`'s polling.
-pub(crate) fn forward(addr: &str, req: &Request, path: &str) -> std::io::Result<Response> {
-    use std::io::{Read as _, Write as _};
-    let _span = obs::span("shard.forward");
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(std::time::Duration::from_secs(30)))?;
-    let target = match &req.query {
-        Some(q) => format!("{path}?{q}"),
-        None => path.to_string(),
-    };
+/// Read and write deadline on an established hop connection.
+const HOP_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+
+/// The parent's client for the replica hop: the shard addresses and,
+/// per shard, a stack of idle keep-alive connections. The pool has no
+/// size option: a forward takes at most one connection and returns it,
+/// so each stack never holds more than the number of concurrent
+/// forwards — the parent's worker count.
+pub(crate) struct HopClient {
+    shards: Vec<(String, std::sync::Mutex<Vec<std::net::TcpStream>>)>,
+}
+
+/// How one exchange failed: before the first response byte (on a
+/// pooled connection, the shard's idle reaper or a restart got there
+/// first) or after it.
+enum HopError {
+    BeforeResponse(std::io::Error),
+    InResponse(std::io::Error),
+}
+
+impl HopClient {
+    pub(crate) fn new(addrs: Vec<String>) -> Self {
+        Self {
+            shards: addrs
+                .into_iter()
+                .map(|addr| (addr, std::sync::Mutex::new(Vec::new())))
+                .collect(),
+        }
+    }
+
+    /// How many shards the client routes to.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard `shard`'s `host:port`.
+    pub(crate) fn addr(&self, shard: usize) -> &str {
+        &self.shards[shard].0
+    }
+
+    /// Forwards a request to shard `shard` over a keep-alive connection
+    /// and parses the response. The client's `X-Request-Id` is
+    /// propagated so parent and shard flight records correlate.
+    ///
+    /// The request goes out in one write; the response is read by its
+    /// `Content-Length`. The connection goes back to the pool unless
+    /// the shard answered `Connection: close` or sent bytes past the
+    /// frame. A pooled connection that fails before the first response
+    /// byte was stale, so the request is retried once on a new
+    /// connection; a failure after any response byte is an error.
+    pub(crate) fn forward(
+        &self,
+        shard: usize,
+        req: &Request,
+        path: &str,
+    ) -> std::io::Result<Response> {
+        let _span = obs::span("shard.forward");
+        let (addr, idle) = &self.shards[shard];
+        let request = encode_hop_request(addr, req, path);
+        let pooled = idle.lock().expect("hop pool poisoned").pop();
+        let done = match pooled.map(|stream| exchange(stream, &request)) {
+            // A timeout is not staleness: the shard holds the request,
+            // and a retry would only double the wait.
+            Some(Err(HopError::BeforeResponse(e)))
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                exchange(connect_hop(addr)?, &request)
+            }
+            Some(done) => done,
+            None => exchange(connect_hop(addr)?, &request),
+        };
+        let (resp, reusable) =
+            done.map_err(|(HopError::BeforeResponse(e) | HopError::InResponse(e))| e)?;
+        if let Some(stream) = reusable {
+            idle.lock().expect("hop pool poisoned").push(stream);
+        }
+        Ok(resp)
+    }
+}
+
+/// Opens a new hop connection: connect bounded by
+/// [`HOP_CONNECT_TIMEOUT`], `TCP_NODELAY` so the single-write request
+/// leaves at once, and [`HOP_IO_TIMEOUT`] deadlines.
+fn connect_hop(addr: &str) -> std::io::Result<std::net::TcpStream> {
+    use std::net::ToSocketAddrs as _;
+    let mut last = std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("{addr} resolves to no address"),
+    );
+    for sock in addr.to_socket_addrs()? {
+        match std::net::TcpStream::connect_timeout(&sock, HOP_CONNECT_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(HOP_IO_TIMEOUT))?;
+                stream.set_write_timeout(Some(HOP_IO_TIMEOUT))?;
+                return Ok(stream);
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// The hop request, head and body in one buffer.
+fn encode_hop_request(addr: &str, req: &Request, path: &str) -> Vec<u8> {
+    let query = req
+        .query
+        .as_ref()
+        .map(|q| format!("?{q}"))
+        .unwrap_or_default();
     let mut head = format!(
-        "{} {} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n",
+        "{} {path}{query} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
         req.method,
-        target,
         req.body.len(),
     );
     if let Some(id) = req.header("x-request-id") {
         head.push_str(&format!("X-Request-Id: {id}\r\n"));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&req.body)?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_shard_response(&raw)
+    let mut bytes = head.into_bytes();
+    bytes.extend_from_slice(&req.body);
+    bytes
 }
 
-/// Parses a shard's full `Connection: close` response into a
-/// [`Response`], relaying status, content type, body, and every header
-/// except the hop-by-hop set in [`HOP_HEADERS`].
-fn parse_shard_response(raw: &[u8]) -> std::io::Result<Response> {
+/// One request/response exchange on `stream`. On success, returns the
+/// parsed response and the stream if it can carry another exchange.
+fn exchange(
+    mut stream: std::net::TcpStream,
+    request: &[u8],
+) -> Result<(Response, Option<std::net::TcpStream>), HopError> {
+    use std::io::Write as _;
+    stream
+        .write_all(request)
+        .map_err(HopError::BeforeResponse)?;
+    let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        let first = buf.is_empty();
+        read_some(&mut stream, &mut buf).map_err(|e| {
+            if first {
+                HopError::BeforeResponse(e)
+            } else {
+                HopError::InResponse(e)
+            }
+        })?;
+    };
+    let (mut resp, content_length, close) =
+        parse_shard_response(&buf[..head_end]).map_err(HopError::InResponse)?;
+    // The length is the peer's word: a huge one must not wrap.
+    let frame_end = (head_end + 4).checked_add(content_length).ok_or_else(|| {
+        HopError::InResponse(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "shard Content-Length overflows",
+        ))
+    })?;
+    while buf.len() < frame_end {
+        read_some(&mut stream, &mut buf).map_err(HopError::InResponse)?;
+    }
+    let reusable = !close && buf.len() == frame_end;
+    buf.truncate(frame_end);
+    buf.drain(..head_end + 4);
+    resp.body = buf;
+    Ok((resp, reusable.then_some(stream)))
+}
+
+/// Appends one read's bytes to `buf`. EOF is an error: a frame is owed.
+fn read_some(stream: &mut std::net::TcpStream, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    use std::io::Read as _;
+    let mut chunk = [0u8; 16 * 1024];
+    match stream.read(&mut chunk)? {
+        0 => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "shard closed the connection mid-response",
+        )),
+        n => {
+            buf.extend_from_slice(&chunk[..n]);
+            Ok(())
+        }
+    }
+}
+
+/// Parses a shard's response head (without the blank line) into a
+/// [`Response`] with an empty body, relaying status, content type, and
+/// every other header except the framing ones and `X-Request-Id`:
+/// connection framing is the parent's business, and the parent stamps
+/// its own request ID. Also returns the framing: the `Content-Length` to
+/// read the body by (the shard always sends one) and whether the shard
+/// closes the connection after this response.
+fn parse_shard_response(head: &[u8]) -> std::io::Result<(Response, usize, bool)> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("shard response has no header terminator"))?;
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| bad("shard response head is not UTF-8"))?;
+    let head = std::str::from_utf8(head).map_err(|_| bad("shard response head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or_else(|| bad("empty shard response"))?;
     let status: u16 = status_line
@@ -1744,7 +1892,8 @@ fn parse_shard_response(raw: &[u8]) -> std::io::Result<Response> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("unparsable shard status line"))?;
     let mut resp = Response::text(status, "");
-    resp.body = raw[head_end + 4..].to_vec();
+    let mut content_length = None;
+    let mut close = false;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -1752,11 +1901,20 @@ fn parse_shard_response(raw: &[u8]) -> std::io::Result<Response> {
         let (name, value) = (name.trim(), value.trim());
         if name.eq_ignore_ascii_case("content-type") {
             resp.content_type = value.to_string();
-        } else if !HOP_HEADERS.iter().any(|h| name.eq_ignore_ascii_case(h)) {
+        } else if name.eq_ignore_ascii_case("content-length") {
+            let len = value.parse().map_err(|_| bad("bad shard Content-Length"))?;
+            content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value
+                .split(',')
+                .any(|token| token.trim().eq_ignore_ascii_case("close"));
+        } else if !name.eq_ignore_ascii_case("x-request-id") {
             resp = resp.with_header(name, value);
         }
     }
-    Ok(resp)
+    let content_length =
+        content_length.ok_or_else(|| bad("shard response has no Content-Length"))?;
+    Ok((resp, content_length, close))
 }
 
 #[cfg(test)]
@@ -1928,16 +2086,16 @@ mod tests {
     fn fleet_debug_routes_reject_out_of_range_shard_indices() {
         // The 422 contract needs no live shards: validation happens
         // before any forwarding.
-        let addrs: Arc<Vec<String>> = Arc::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
+        let hop = HopClient::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
         for (target, handler) in [
             (
                 "/v1/debug/profile",
-                fleet_debug_profile as fn(&Request, &Arc<Vec<String>>) -> Response,
+                fleet_debug_profile as fn(&Request, &HopClient) -> Response,
             ),
             ("/v1/debug/requests", fleet_debug_requests),
         ] {
             for bad in ["shard=2", "shard=-1", "shard=one"] {
-                let resp = handler(&get(target, Some(bad)), &addrs);
+                let resp = handler(&get(target, Some(bad)), &hop);
                 assert_eq!(resp.status, 422, "{target}?{bad}");
                 let (ok, err) = open_envelope(&resp);
                 assert!(!ok);
@@ -2692,5 +2850,192 @@ mod tests {
         assert!(String::from_utf8(resp.body)
             .unwrap()
             .contains("gables-serve metrics"));
+    }
+
+    /// An in-test shard: answers every request on a connection with
+    /// `reply(n)` (`n` counts requests on that connection), closing the
+    /// connection after any reply marked `true`, and counts accepts.
+    struct FakeShard {
+        hop: HopClient,
+        accepts: Arc<std::sync::atomic::AtomicUsize>,
+        stopping: Arc<std::sync::atomic::AtomicBool>,
+        closed: std::sync::mpsc::Receiver<()>,
+        acceptor: std::thread::JoinHandle<()>,
+    }
+
+    impl FakeShard {
+        fn start(reply: impl Fn(usize) -> (&'static [u8], bool) + Send + Sync + 'static) -> Self {
+            use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let accepts = Arc::new(AtomicUsize::new(0));
+            let stopping = Arc::new(AtomicBool::new(false));
+            let (closed_tx, closed) = std::sync::mpsc::channel();
+            let (accepted, stop, reply) =
+                (Arc::clone(&accepts), Arc::clone(&stopping), Arc::new(reply));
+            let acceptor = std::thread::spawn(move || {
+                let mut connections = Vec::new();
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let mut stream = stream.expect("accept");
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    let (closed_tx, reply) = (closed_tx.clone(), Arc::clone(&reply));
+                    connections.push(std::thread::spawn(move || {
+                        let mut pending = Vec::new();
+                        for n in 0.. {
+                            if !read_request(&mut stream, &mut pending) {
+                                break;
+                            }
+                            let (bytes, close) = reply(n);
+                            std::io::Write::write_all(&mut stream, bytes).unwrap();
+                            if close {
+                                break;
+                            }
+                        }
+                        drop(stream);
+                        let _ = closed_tx.send(());
+                    }));
+                }
+                for connection in connections {
+                    connection.join().expect("fake shard connection thread");
+                }
+            });
+            Self {
+                hop: HopClient::new(vec![addr]),
+                accepts,
+                stopping,
+                closed,
+                acceptor,
+            }
+        }
+
+        fn accepts(&self) -> usize {
+            self.accepts.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        /// Blocks until the shard closes its next connection.
+        fn wait_closed(&self) {
+            self.closed.recv().expect("fake shard closed a connection");
+        }
+
+        fn forward(&self) -> std::io::Result<Response> {
+            self.hop
+                .forward(0, &post("/v1/eval", None, "spec"), "/v1/eval")
+        }
+
+        /// Closes the pooled connections and joins every shard thread,
+        /// so a failed assertion on one of them fails the test.
+        fn stop(self) {
+            let addr = self.hop.addr(0).to_string();
+            drop(self.hop);
+            self.stopping
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+            // Wakes the acceptor so it sees the flag.
+            drop(std::net::TcpStream::connect(addr));
+            self.acceptor.join().expect("fake shard acceptor");
+        }
+    }
+
+    /// Consumes one `Content-Length`-framed request; `false` on EOF.
+    fn read_request(stream: &mut std::net::TcpStream, pending: &mut Vec<u8>) -> bool {
+        use std::io::Read as _;
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(end) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&pending[..end]).to_lowercase();
+                assert!(!head.contains("connection:"), "hop requests are keep-alive");
+                let body: usize = head
+                    .split("\r\n")
+                    .find_map(|l| l.strip_prefix("content-length:"))
+                    .map_or(0, |v| v.trim().parse().unwrap());
+                if pending.len() >= end + 4 + body {
+                    pending.drain(..end + 4 + body);
+                    return true;
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return false,
+                Ok(n) => pending.extend_from_slice(&chunk[..n]),
+            }
+        }
+    }
+
+    const OK_KEEP_ALIVE: &[u8] =
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 3\r\nConnection: keep-alive\r\n\r\nok\n";
+
+    #[test]
+    fn hop_reuses_one_connection_for_sequential_forwards() {
+        let shard = FakeShard::start(|_| (OK_KEEP_ALIVE, false));
+        for _ in 0..100 {
+            let resp = shard.forward().unwrap();
+            assert_eq!((resp.status, resp.body.as_slice()), (200, &b"ok\n"[..]));
+            assert_eq!(resp.content_type, "text/plain");
+        }
+        assert_eq!(shard.accepts(), 1, "100 forwards share one connection");
+        shard.stop();
+    }
+
+    #[test]
+    fn hop_retries_a_pooled_connection_the_shard_closed() {
+        // The shard answers keep-alive, then reaps the idle connection.
+        let shard = FakeShard::start(|_| (OK_KEEP_ALIVE, true));
+        shard.forward().unwrap();
+        shard.wait_closed();
+        let resp = shard.forward().unwrap();
+        assert_eq!(resp.body, b"ok\n");
+        assert_eq!(shard.accepts(), 2, "the stale connection was replaced");
+        shard.stop();
+    }
+
+    #[test]
+    fn hop_does_not_retry_a_response_cut_off_mid_body() {
+        // The first exchange pools the connection; the second is cut
+        // off after three of ten body bytes.
+        let shard = FakeShard::start(|n| match n {
+            0 => (OK_KEEP_ALIVE, false),
+            _ => (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", true),
+        });
+        shard.forward().unwrap();
+        let err = shard.forward().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(
+            shard.accepts(),
+            1,
+            "a failure after the first byte is not retried"
+        );
+        shard.stop();
+    }
+
+    #[test]
+    fn hop_rejects_a_content_length_that_overflows_the_frame() {
+        let shard = FakeShard::start(|_| {
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nok\n",
+                false,
+            )
+        });
+        let err = shard.forward().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(shard.accepts(), 1, "a bad frame is not retried");
+        shard.stop();
+    }
+
+    #[test]
+    fn hop_pools_only_cleanly_framed_keep_alive_responses() {
+        // `Connection: close` and trailing bytes past the frame each
+        // retire the connection (the fake shard itself keeps it open).
+        for reply in [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nConnection: close\r\n\r\nok\n".as_slice(),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\nHTTP/1.1".as_slice(),
+        ] {
+            let shard = FakeShard::start(move |_| (reply, false));
+            for _ in 0..3 {
+                assert_eq!(shard.forward().unwrap().body, b"ok\n");
+            }
+            assert_eq!(shard.accepts(), 3, "{}", String::from_utf8_lossy(reply));
+            shard.stop();
+        }
     }
 }

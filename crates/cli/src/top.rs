@@ -17,6 +17,7 @@ use gables_model::json::Json;
 use gables_plot::{gauge, sparkline};
 use gables_serve::Request;
 
+use crate::serve::HopClient;
 use crate::spec::SpecError;
 
 /// How many polls of p99 history each route's sparkline keeps.
@@ -109,10 +110,12 @@ pub fn top_command(args: &[String]) -> Result<String, SpecError> {
     let opts = parse_top_args(args)?;
     let mut history: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut rendered = 0usize;
+    // One keep-alive connection carries every poll.
+    let server = HopClient::new(vec![opts.addr.clone()]);
     loop {
-        let slo = fetch(&opts.addr, "/v1/slo", None)?;
-        let metrics = fetch(&opts.addr, "/v1/metrics", None)?;
-        let health = fetch(&opts.addr, "/v1/healthz", Some("format=json"))?;
+        let slo = fetch(&server, "/v1/slo", None)?;
+        let metrics = fetch(&server, "/v1/metrics", None)?;
+        let health = fetch(&server, "/v1/healthz", Some("format=json"))?;
         update_history(&mut history, &slo);
         let frame = render_frame(&opts.addr, &slo, &metrics, &health, &history);
         rendered += 1;
@@ -131,7 +134,8 @@ pub fn top_command(args: &[String]) -> Result<String, SpecError> {
 }
 
 /// One enveloped `GET` against the server; returns the `data` payload.
-fn fetch(addr: &str, path: &str, query: Option<&str>) -> Result<Json, SpecError> {
+fn fetch(server: &HopClient, path: &str, query: Option<&str>) -> Result<Json, SpecError> {
+    let addr = server.addr(0);
     let req = Request {
         method: "GET".into(),
         path: path.into(),
@@ -139,7 +143,8 @@ fn fetch(addr: &str, path: &str, query: Option<&str>) -> Result<Json, SpecError>
         headers: Vec::new(),
         body: Vec::new(),
     };
-    let resp = crate::serve::forward(addr, &req, path)
+    let resp = server
+        .forward(0, &req, path)
         .map_err(|e| SpecError::general(format!("{addr}{path}: {e}")))?;
     if resp.status != 200 {
         return Err(SpecError::general(format!(

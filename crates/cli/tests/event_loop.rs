@@ -274,28 +274,33 @@ fn ten_thousand_idle_keep_alive_connections_are_held_by_one_process() {
     let addr = server.addr;
 
     // Open the idle herd from a handful of threads; each connection is
-    // kept alive (never written to) for the rest of the test.
+    // kept alive (never written to) for the rest of the test. Each
+    // thread also reports when it opened its last connection.
     let openers: Vec<_> = (0..THREADS)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut held = Vec::with_capacity(CONNECTIONS / THREADS);
+                let mut last_opened = Instant::now();
                 while held.len() < CONNECTIONS / THREADS {
                     match TcpStream::connect(addr) {
-                        Ok(stream) => held.push(stream),
+                        Ok(stream) => {
+                            held.push(stream);
+                            last_opened = Instant::now();
+                        }
                         // Transient accept-queue overflow: back off and
                         // let the event loop drain the backlog.
                         Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
                 }
-                held
+                (held, last_opened)
             })
         })
         .collect();
-    let herds: Vec<Vec<TcpStream>> = openers
+    let herds: Vec<(Vec<TcpStream>, Instant)> = openers
         .into_iter()
         .map(|t| t.join().expect("opener thread"))
         .collect();
-    let open: usize = herds.iter().map(Vec::len).sum();
+    let open: usize = herds.iter().map(|(held, _)| held.len()).sum();
     assert_eq!(open, CONNECTIONS, "the full herd connected");
 
     // With 10k idle connections parked, a fresh request still answers
@@ -309,14 +314,19 @@ fn ten_thousand_idle_keep_alive_connections_are_held_by_one_process() {
         "probe must not queue behind the idle herd"
     );
 
-    // One of the parked connections wakes up and is served too.
-    let mut parked = herds
+    // The most recently opened parked connection wakes up and is served
+    // too. It must still be inside the server's idle keep-alive window:
+    // the herd's first connections may legitimately be reaped by now.
+    let (mut held, opened) = herds
         .into_iter()
-        .next()
-        .unwrap()
-        .into_iter()
-        .next()
+        .max_by_key(|(_, last_opened)| *last_opened)
         .unwrap();
+    let idle = opened.elapsed();
+    assert!(
+        idle < ServerConfig::default().keep_alive_timeout,
+        "the newest parked connection has idled {idle:?}, past the keep-alive timeout"
+    );
+    let mut parked = held.pop().unwrap();
     parked
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();

@@ -196,6 +196,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -203,6 +204,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -379,12 +381,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
-                    let ch = rest.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or escape
+                    // in one push. Both stoppers are ASCII, so the run
+                    // ends on a char boundary of the (already UTF-8)
+                    // input and each byte is visited once.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -487,6 +494,46 @@ mod tests {
     fn whitespace_is_tolerated_everywhere() {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A body-sized string of multi-byte text with periodic escapes:
+        // per-byte cost at 512 KiB must stay within a small factor of
+        // the cost at 64 KiB (a quadratic scan is 8x worse per byte).
+        fn doc(bytes: usize) -> String {
+            let unit = "gables é roofline \\n ";
+            let mut body = String::with_capacity(bytes + 2 * unit.len());
+            body.push('"');
+            while body.len() < bytes {
+                body.push_str(unit);
+            }
+            body.push('"');
+            body
+        }
+        fn ns_per_byte(text: &str) -> f64 {
+            let best = (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let parsed = Json::parse(std::hint::black_box(text)).unwrap();
+                    std::hint::black_box(parsed);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            best.as_nanos() as f64 / text.len() as f64
+        }
+        let (small, large) = (doc(64 * 1024), doc(512 * 1024));
+        assert!(Json::parse(&small)
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("é roofline \n"));
+        let (small_cost, large_cost) = (ns_per_byte(&small), ns_per_byte(&large));
+        assert!(
+            large_cost < 4.0 * small_cost,
+            "per-byte cost grew from {small_cost:.2} ns at 64 KiB to {large_cost:.2} ns at 512 KiB"
+        );
     }
 
     #[test]

@@ -2,24 +2,20 @@
 //!
 //! The counting allocator ([`gables_model::prof::CountingAllocator`])
 //! is process-wide, so these assertions live in their own integration
-//! binary and serialize on a lock: nothing else may allocate while a
-//! scope is being measured, or a `== 0` assertion would flake.
+//! binary with a single `#[test]`: nothing else may allocate while a
+//! scope is being measured, or a `== 0` assertion would flake. With two
+//! tests, the harness thread allocates when it reports the first one to
+//! finish, inside the other's open scope.
 //!
 //! The budgets are exact, not "small": steady-state [`evaluate`] does
 //! zero heap allocations once the spec exists, and an offload sweep
 //! pays only its fixed setup (result storage, the workload template)
 //! with zero additional allocations per sweep point.
 
-use std::sync::Mutex;
-
 use gables_model::analysis::offload_sweep_with;
 use gables_model::prof::AllocScope;
 use gables_model::units::{BytesPerSec, OpsPerSec};
 use gables_model::{evaluate, Parallelism, SocSpec, Workload};
-
-/// Serializes the measuring tests: the allocation counters are global
-/// to the process, so concurrent tests would see each other's traffic.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// The paper's Figure 6b SoC: CPU plus one accelerator.
 fn soc() -> SocSpec {
@@ -37,9 +33,15 @@ fn workload() -> Workload {
     Workload::two_ip(0.6, 0.25, 4.0).unwrap()
 }
 
+/// The only test in this binary: runs every measurement in turn, so no
+/// other test starts or finishes while a scope is open.
 #[test]
+fn hot_paths_allocate_within_budget() {
+    steady_state_evaluate_allocates_nothing();
+    offload_sweep_allocates_nothing_per_point();
+}
+
 fn steady_state_evaluate_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let soc = soc();
     let workload = workload();
     // Warmup: fault in any lazy one-time state (formatting machinery,
@@ -61,9 +63,7 @@ fn steady_state_evaluate_allocates_nothing() {
     assert_eq!(delta.bytes, 0, "{delta:?}");
 }
 
-#[test]
 fn offload_sweep_allocates_nothing_per_point() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let soc = soc();
     let run =
         |steps: usize| offload_sweep_with(&soc, 0.25, 4.0, steps, Parallelism::Serial).unwrap();

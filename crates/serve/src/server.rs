@@ -545,8 +545,7 @@ impl EventLoop {
                 }
             }
             if let Some(since) = stopping {
-                let live = self.conns.iter().flatten().count();
-                if live == 0 || since.elapsed() > SHUTDOWN_GRACE {
+                if self.live() == 0 || since.elapsed() > SHUTDOWN_GRACE {
                     return Ok(());
                 }
             }
@@ -583,8 +582,7 @@ impl EventLoop {
                     if stopping {
                         continue; // drop: shutdown wake-up or late client
                     }
-                    let live = self.conns.iter().flatten().count();
-                    if live >= self.config.max_connections {
+                    if self.live() >= self.config.max_connections {
                         let _ = stream.set_nonblocking(true);
                         let resp = Response::error(503, "server busy: connection limit reached")
                             .with_header("Retry-After", self.config.retry_after_secs.to_string());
@@ -990,6 +988,12 @@ impl EventLoop {
         {
             conn.interest = want;
         }
+    }
+
+    /// Open connections, in O(1): every slot is either occupied or on
+    /// the free list.
+    fn live(&self) -> usize {
+        self.conns.len() - self.free.len()
     }
 
     fn close(&mut self, slot: usize) {

@@ -5,18 +5,15 @@
 //! poll every few seconds forever — so rendering a snapshot into a
 //! reused buffer must not touch the heap once the buffer has grown to
 //! size. The counting allocator is process-wide, so this test owns its
-//! own integration binary and serializes measurements on a lock, same
-//! as `crates/core/tests/alloc_budget.rs`.
+//! own integration binary and is its only `#[test]`, same as
+//! `crates/core/tests/alloc_budget.rs`: with two tests, the harness
+//! thread allocates when it reports the first one to finish, inside the
+//! other's open scope.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use gables_model::prof::AllocScope;
 use gables_serve::ServerMetrics;
-
-/// Serializes the measuring tests: the allocation counters are global
-/// to the process.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A metrics instance with representative traffic: several routes,
 /// every status class, phases, cache outcomes, and a latency spread.
@@ -43,9 +40,15 @@ fn populated_metrics() -> ServerMetrics {
     m
 }
 
+/// The only test in this binary: runs every measurement in turn, so no
+/// other test starts or finishes while a scope is open.
 #[test]
+fn scrape_paths_allocate_nothing() {
+    prometheus_scrape_into_a_reused_buffer_allocates_nothing();
+    bucket_labels_render_without_a_fresh_string();
+}
+
 fn prometheus_scrape_into_a_reused_buffer_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let metrics = populated_metrics();
     let snapshot = metrics.snapshot();
     let mut buf = String::new();
@@ -72,9 +75,7 @@ fn prometheus_scrape_into_a_reused_buffer_allocates_nothing() {
     assert_eq!(buf.capacity(), capacity, "the buffer never regrows");
 }
 
-#[test]
 fn bucket_labels_render_without_a_fresh_string() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut buf = String::new();
     for i in 0..gables_serve::LATENCY_BUCKETS {
         buf.clear();

@@ -89,6 +89,12 @@ case "$announce" in
     ;;
 esac
 
+echo "==> replica hop unit tests (keep-alive reuse, stale-connection retry, framing)"
+# The parent -> shard client against an in-test fake shard: 100 forwards
+# share one connection, a reaped pooled connection is retried once, a
+# cut-off body is not, and unclean frames are never pooled.
+cargo test -q -p gables-cli --lib serve::tests::hop_
+
 if [ "$QUICK" -eq 0 ]; then
   echo "==> release-mode suites (debug_assert! compiled out)"
   cargo test --release -q -p gables-cli --test obs_loopback
