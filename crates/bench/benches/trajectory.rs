@@ -13,7 +13,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `GABLES_BENCH_TRAJECTORY_DIR` — output directory for the four
+//! * `GABLES_BENCH_TRAJECTORY_DIR` — output directory for the five
 //!   candidate artifacts (default `target/trajectory`).
 //! * `GABLES_BENCH_SCALE` — workload scale factor (default 8). The
 //!   committed baselines record the scale they ran at; re-baseline with
@@ -57,9 +57,8 @@ fn time_median_ns<F: FnMut()>(batches: usize, ops: usize, mut f: F) -> f64 {
 /// Minimum ns per operation over `batches` batches of `ops` calls. The
 /// min, not the median: scheduler noise (CPU steal on shared machines)
 /// only ever *adds* time, so the minimum is the stablest estimate of
-/// the true cost — the same rationale as the `parallel` bench's
-/// `time_min`. Used for the explore metric, whose sub-200µs calls are
-/// the most exposed to steal spikes.
+/// the true cost. Used for the explore metric, whose sub-200µs calls
+/// are the most exposed to steal spikes.
 fn time_min_ns<F: FnMut()>(batches: usize, ops: usize, mut f: F) -> f64 {
     let ops = ops.max(1);
     f();

@@ -16,7 +16,9 @@ use gables_ert::{measure, SweepConfig};
 use gables_model::ext::sram::MemorySideSram;
 use gables_model::two_ip::TwoIpModel;
 use gables_model::units::MissRatio;
-use gables_soc_sim::cache_sim::{measure_miss_ratio, CacheConfig};
+use gables_soc_sim::cache_sim::{
+    measure_miss_ratio, CacheConfig, HierarchyConfig, HierarchySim, LevelConfig, ReplacementPolicy,
+};
 use gables_soc_sim::energy::EnergyModel;
 use gables_soc_sim::thermal::ThermalConfig;
 use gables_soc_sim::trace::TracePattern;
@@ -273,32 +275,35 @@ pub fn measured_miss_ratios() -> Report {
 }
 
 /// Cross-checks the engine's working-set-threshold cache model against
-/// the trace-driven multi-level hierarchy on the streaming kernel —
-/// the regime where the threshold model claims to be exact.
+/// the trace-driven multi-level hierarchy (the CARM simulator) on the
+/// streaming kernel — the regime where the threshold model claims to be
+/// exact.
 pub fn cache_fidelity() -> Report {
-    use gables_soc_sim::cache_sim::CacheConfig;
-    use gables_soc_sim::hierarchy::HierarchySim;
-
     let mut rep = Report::new(
         "cache_fidelity",
         "Threshold cache model vs trace-driven hierarchy",
     );
     let soc = presets::snapdragon_835_like();
     let cpu = &soc.ips[presets::CPU];
-    let levels: Vec<(String, CacheConfig)> = cpu
-        .caches
-        .iter()
-        .map(|c| {
-            (
-                c.name.clone(),
-                CacheConfig {
+    // Only traffic counts are read, so the latencies are placeholders.
+    let config = HierarchyConfig {
+        levels: cpu
+            .caches
+            .iter()
+            .map(|c| LevelConfig {
+                name: c.name.clone(),
+                geometry: CacheConfig {
                     capacity_bytes: c.capacity_bytes,
                     line_bytes: 64,
                     associativity: 16,
                 },
-            )
-        })
-        .collect();
+                latency_ns: 1.0,
+                policy: ReplacementPolicy::Lru,
+                victim_lines: 0,
+            })
+            .collect(),
+        dram_latency_ns: 1.0,
+    };
 
     rep.line("working set  threshold-model level  steady-state DRAM fraction (trace)");
     for (ws, expect_dram_fraction) in [(64u64 << 10, 0.0), (1 << 20, 0.0), (8 << 20, 1.0)] {
@@ -307,7 +312,7 @@ pub fn cache_fidelity() -> Report {
             .map(|c| c.name.clone())
             .unwrap_or_else(|| "DRAM".into());
         // Warm the hierarchy with one pass, then measure a steady pass.
-        let mut h = HierarchySim::new(levels.clone(), 64).expect("valid geometry");
+        let mut h = HierarchySim::new(config.clone()).expect("valid geometry");
         let pass = TracePattern::Stream {
             bytes: ws,
             stride: 64,
@@ -316,8 +321,10 @@ pub fn cache_fidelity() -> Report {
         }
         .generate();
         h.run_trace(&pass);
-        let steady = h.run_trace(&pass);
-        let fraction = steady.dram_bytes / (ws as f64);
+        h.reset_stats();
+        h.run_trace(&pass);
+        let steady = h.stats();
+        let fraction = ((steady.dram_accesses + steady.dram_writebacks) * 64) as f64 / ws as f64;
         rep.line(format!("{ws:>11}  {serving:>20}  {fraction:>10.4}"));
         rep.row(
             format!("steady DRAM fraction at ws={ws}"),

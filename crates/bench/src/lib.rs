@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness of the Gables reproduction: one regeneration
 //! target per paper table and figure (see DESIGN.md's per-experiment
-//! index) plus the [`microbench`]-driven timing benches under
-//! `benches/`.
+//! index) plus the benchmark trajectory (`benches/trajectory.rs`), the
+//! repository's one timing harness.
 //!
 //! Run everything with `cargo run -p gables-bench --bin all_figures`;
 //! individual figures have their own binaries (`fig1` … `fig9`,
@@ -13,7 +13,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod figures;
-pub mod microbench;
 pub mod report;
 
 use std::path::Path;

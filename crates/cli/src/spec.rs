@@ -26,6 +26,7 @@
 //! miss_ratios = 1.0, 0.1
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 
 use gables_model::ext::sram::MemorySideSram;
@@ -145,15 +146,6 @@ impl SectionBody {
     fn contains_key(&self, text: &str, key: &str) -> bool {
         self.get(text, key).is_some()
     }
-
-    /// Appends a key; `false` (without inserting) if it already exists.
-    fn insert_new(&mut self, text: &str, key: Span, value: (usize, Span)) -> bool {
-        if self.contains_key(text, key.resolve(text)) {
-            return false;
-        }
-        self.0.push((key, value));
-        true
-    }
 }
 
 /// A parsed (but not yet validated) spec file.
@@ -180,6 +172,9 @@ impl SpecFile {
         }
         let mut sections: Vec<(Span, SectionBody)> = Vec::new();
         let mut canonical = String::with_capacity(text.len());
+        // The current section's keys, so duplicates are caught in
+        // linear time however many keys a section holds.
+        let mut seen: HashSet<&str> = HashSet::new();
         for (idx, raw) in text.lines().enumerate() {
             let n = idx + 1;
             let line = strip_comment(raw).trim();
@@ -202,6 +197,7 @@ impl SpecFile {
                 let offset = name.as_ptr() as usize - line.as_ptr() as usize;
                 let span = Span::new(line_start + offset, name.len());
                 sections.push((span, SectionBody::default()));
+                seen.clear();
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -214,6 +210,9 @@ impl SpecFile {
                 return Err(SpecError::at(n, "key before any [section]"));
             };
             let key = key.trim();
+            if !seen.insert(key) {
+                return Err(SpecError::at(n, format!("duplicate key {key:?}")));
+            }
             // canonicalize() writes `key=` then the comma-collapsed
             // value; the spans index straight into those bytes.
             canonical.push_str(key);
@@ -228,9 +227,7 @@ impl SpecFile {
             }
             let value_span = Span::new(value_start, canonical.len() - value_start);
             canonical.push('\n');
-            if !body.insert_new(&canonical, key_span, (n, value_span)) {
-                return Err(SpecError::at(n, format!("duplicate key {key:?}")));
-            }
+            body.0.push((key_span, (n, value_span)));
         }
         Ok(Self {
             sections,
@@ -978,6 +975,20 @@ mod tests {
         let err = SpecFile::parse("[soc]\nx = 1\nx = 2\n").unwrap_err();
         assert!(err.message.contains("duplicate"));
 
+        // In a long section both early and late keys are caught, and a
+        // new section starts afresh.
+        let mut many = String::from("[soc]\n");
+        for i in 0..40 {
+            many.push_str(&format!("k{i} = 1\n"));
+        }
+        let next = format!("{many}[ip.CPU]\nk0 = 1\nk39 = 1\n");
+        assert!(SpecFile::parse(&next).is_ok());
+        for dup in ["k3", "k30"] {
+            let err = SpecFile::parse(&format!("{many}{dup} = 2\n")).unwrap_err();
+            assert_eq!(err.line, Some(42), "{dup}: {err}");
+            assert!(err.message.contains("duplicate"));
+        }
+
         let err = SpecFile::parse("[]\n").unwrap_err();
         assert!(err.message.contains("empty section"));
     }
@@ -1251,6 +1262,64 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), "invalid_cache_config");
         assert!(err.message.contains("capacity_kib"), "{err}");
+    }
+
+    #[test]
+    fn spec_parse_runs_in_linear_time() {
+        // Per-byte parse cost at 256 KiB must stay within a small factor
+        // of the cost at 16 KiB, for both carriers and for a spec that
+        // grows by sections as well as one that grows by keys within a
+        // section (a quadratic scan is 16x worse per byte).
+        fn grow(head: &str, unit: &dyn Fn(usize) -> String, bytes: usize) -> String {
+            let mut text = head.to_string();
+            for i in 0.. {
+                if text.len() >= bytes {
+                    break;
+                }
+                text += &unit(i);
+            }
+            text
+        }
+        fn json_carrier(ini: &str) -> String {
+            let spec = ini.replace('\n', "\\n");
+            format!("{{\"spec\": \"{spec}\", \"edits\": \"set_bpeak 20\"}}")
+        }
+        fn ns_per_byte(text: &str) -> f64 {
+            let best = (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let spec = Spec::parse(std::hint::black_box(text)).unwrap();
+                    std::hint::black_box(spec);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            best.as_nanos() as f64 / text.len() as f64
+        }
+        let by_sections = |i| format!("[ip.X{i}]\nacceleration = 2.5\nbandwidth_gbps = 12.75\n");
+        let by_keys = |i| format!("note_{i} = 1, 2, 3\n");
+        for (shape, head, unit) in [
+            ("sections", "", &by_sections as &dyn Fn(usize) -> String),
+            ("keys", "[notes]\n", &by_keys),
+        ] {
+            let head = format!("{FIGURE_6B_SPEC}{head}");
+            let (small, large) = (grow(&head, unit, 16 * 1024), grow(&head, unit, 256 * 1024));
+            assert_eq!(
+                Spec::parse(&large).unwrap().canonical_key(),
+                Spec::parse(&json_carrier(&large)).unwrap().canonical_key()
+            );
+            for (carrier, small, large) in [
+                ("ini", small.clone(), large.clone()),
+                ("json", json_carrier(&small), json_carrier(&large)),
+            ] {
+                let (small_cost, large_cost) = (ns_per_byte(&small), ns_per_byte(&large));
+                assert!(
+                    large_cost < 3.0 * small_cost,
+                    "{carrier} spec growing by {shape}: per-byte cost grew from \
+                     {small_cost:.2} ns at 16 KiB to {large_cost:.2} ns at 256 KiB"
+                );
+            }
+        }
     }
 
     #[test]

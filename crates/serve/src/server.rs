@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use gables_model::obs;
 
 use crate::flight::{FlightRecord, FlightRecorder};
-use crate::http::{closed_early, parse_request_bytes, HttpError, Request, Response};
+use crate::http::{closed_early, parse_request_resuming, HttpError, Request, Response};
 use crate::metrics::ServerMetrics;
 use crate::poll::{Interest, Poller};
 
@@ -484,6 +484,8 @@ struct Conn {
     stream: TcpStream,
     state: ConnState,
     in_buf: Vec<u8>,
+    /// Prefix of `in_buf` already searched for the head terminator.
+    head_scanned: usize,
     out_buf: Vec<u8>,
     out_pos: usize,
     close_after_write: bool,
@@ -611,6 +613,7 @@ impl EventLoop {
                         stream,
                         state: ConnState::Reading,
                         in_buf: Vec::new(),
+                        head_scanned: 0,
                         out_buf: Vec::new(),
                         out_pos: 0,
                         close_after_write: false,
@@ -718,7 +721,7 @@ impl EventLoop {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        match parse_request_bytes(&conn.in_buf) {
+        match parse_request_resuming(&conn.in_buf, &mut conn.head_scanned) {
             Ok(None) => {
                 if conn.peer_eof {
                     if conn.in_buf.is_empty() {
@@ -732,6 +735,7 @@ impl EventLoop {
             }
             Ok(Some(parsed)) => {
                 conn.in_buf.drain(..parsed.consumed);
+                conn.head_scanned = 0;
                 if conn.in_buf.is_empty() {
                     conn.read_started = None;
                 } else {
@@ -784,6 +788,7 @@ impl EventLoop {
             return;
         };
         conn.in_buf.clear(); // framing is poisoned; nothing more parses
+        conn.head_scanned = 0;
         let started = conn.read_started.take();
         let metrics = Arc::clone(&self.metrics);
         metrics.enter_in_flight();

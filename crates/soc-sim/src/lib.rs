@@ -35,7 +35,6 @@ pub mod config;
 pub mod energy;
 pub mod engine;
 pub mod error;
-pub mod hierarchy;
 pub mod kernel;
 pub mod presets;
 pub mod run;

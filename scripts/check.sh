@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, lints, release build, every test in the
-# workspace, and the regression-gated benchmark trajectory. Run from the
-# repository root; exits non-zero on the first failure. Works offline —
-# the workspace has no external deps.
+# workspace, the paper-figures diff, and the regression-gated benchmark
+# trajectory. Run from the repository root; exits non-zero on the first
+# failure. Works offline — the workspace has no external deps.
 #
-# `--quick` skips the release-mode builds/tests and both bench stages
-# (smoke + trajectory/perf gate) for a fast edit-compile-test loop; the
-# full run is the gate that counts.
+# `--quick` skips the release-mode builds/tests, the figures diff and
+# the trajectory/perf gate for a fast edit-compile-test loop; the full
+# run is the gate that counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -111,17 +111,10 @@ echo "==> parallel determinism suite (forced GABLES_THREADS=2, debug logging on)
 GABLES_THREADS=2 GABLES_LOG=debug cargo test -q --test parallel_determinism
 
 if [ "$QUICK" -eq 0 ]; then
-  echo "==> parallel bench smoke (small grid, artifact to target/figures)"
-  # Capture the log and check the exit status explicitly: `cargo bench
-  # -q` is silent on success, and this guards against any wrapper ever
-  # swallowing a nonzero exit from the bench binary itself.
-  bench_log="target/bench-smoke.log"
-  if ! GABLES_BENCH_SCALE=4 cargo bench -q -p gables-bench --bench parallel \
-      >"$bench_log" 2>&1; then
-    cat "$bench_log" >&2
-    echo "parallel bench smoke failed (log above)" >&2
-    exit 1
-  fi
+  echo "==> paper figures byte-identical to figures_output.txt"
+  # The figures are deterministic: any changed byte is a changed result
+  # (a failed run prints nothing, so it fails the diff too).
+  cargo run -q --release -p gables-bench --bin all_figures | diff -u figures_output.txt -
 
   echo "==> benchmark trajectory + perf gate (vs committed BENCH_*.json)"
   sh scripts/perf_gate.sh
